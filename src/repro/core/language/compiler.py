@@ -451,8 +451,6 @@ def _attach_filter_vector_hook(
     guard_terms: Sequence[Expression],
     stream: Stream,
     alias: str,
-    native_state: Any = None,
-    allow_vector: bool = True,
 ) -> None:
     """Give a filter subscription a columnar admission mask when possible.
 
@@ -463,46 +461,20 @@ def _attach_filter_vector_hook(
     evaluated by ``on_tuple``; the mask may only skip materializing rows it
     proves rejected.  Any lowering gap or runtime error degrades to None —
     "materialize everything" — which is exactly the scalar path.
-
-    With *native_state* set (the engine's ``native_admission`` tier) the
-    terms are additionally lowered to a C kernel, consulted first per
-    batch; a batch the kernel cannot handle falls to the vectorized
-    closures (when *allow_vector*), then to full materialization — the
-    native→vector→closure chain.
     """
     if not guard_terms:
         return
-    native_fn = None
-    if native_state is not None:
-        from ...dsms.native import native_admission_mask
-
-        native_fn = native_admission_mask(
-            guard_terms, stream.schema, alias, "strict", native_state
-        )
-    vector_fns: tuple | None = None
-    if allow_vector:
-        fns = []
-        for term in guard_terms:
-            fn = compile_vector(term, stream.schema, alias)
-            if fn is None:
-                fns = None
-                break
-            fns.append(fn)
-        if fns is not None:
-            vector_fns = tuple(fns)
-    if native_fn is None and vector_fns is None:
-        return
+    fns = []
+    for term in guard_terms:
+        fn = compile_vector(term, stream.schema, alias)
+        if fn is None:
+            return
+        fns.append(fn)
 
     def vector_admission(cols: Any, tss: Any, n: int) -> Any:
-        if native_fn is not None:
-            mask = native_fn(cols, tss, n)
-            if mask is not None:
-                return mask
-        if vector_fns is None:
-            return None
         try:
             out = [True] * n
-            for fn in vector_fns:
+            for fn in fns:
                 values = fn(cols, tss, n)
                 for index in range(n):
                     if values[index] is not True:  # strict: NULL rejects
@@ -720,16 +692,11 @@ def _compile_filter(engine: Engine, analysis: Analysis, label: str) -> QueryHand
             if check(env):
                 emit([fn(env) for fn in item_fns], tup.ts)
 
-        allow_vector = bool(getattr(engine, "vectorized_admission", False))
-        native_state = getattr(engine, "native_state", None)
-        if allow_vector or native_state is not None:
+        # Masks run only above the closure tier: the interpreted engine
+        # stays a mask-free reference, as in the SEQ operator.
+        if engine.compile_expressions and engine.vectorized_admission:
             _attach_filter_vector_hook(
-                on_tuple,
-                analysis.guard_terms,
-                stream,
-                source.alias,
-                native_state=native_state,
-                allow_vector=allow_vector,
+                on_tuple, analysis.guard_terms, stream, source.alias
             )
 
     teardowns.append(stream.subscribe(on_tuple))

@@ -117,8 +117,8 @@ class _Partition:
             None
             if mirror_specs is None
             else [
-                None if spec is None else ColumnStore(spec[0], spec[1])
-                for spec in mirror_specs
+                None if schema is None else ColumnStore(schema)
+                for schema in mirror_specs
             ]
         )
 
@@ -247,17 +247,15 @@ class SeqOperator:
         for index, arg in enumerate(self.args):
             self._positions.setdefault(arg.stream.lower(), []).append(index)
         compiled_exec = bool(getattr(engine, "compile_expressions", False))
-        native_state = getattr(engine, "native_state", None)
-        allow_vector = bool(getattr(engine, "vectorized_admission", False))
-        vector_exec = compiled_exec and (
-            allow_vector or native_state is not None
+        # Masks run only above the closure tier, as in the filter path.
+        vector_exec = compiled_exec and bool(
+            getattr(engine, "vectorized_admission", False)
         )
         # Pairing-mask plan: one candidate-slice mask per chain stage.
         # Stage *index* scans histories[index] while aliases index+1..n-1
         # are already bound (SEQ enumerates right to left), so each
         # stage's decidable cross conjuncts lower against that bound set
-        # — to a two-operand native kernel over the mirror's packed
-        # buffers and/or vectorized closures over its object columns.
+        # to vectorized closures over its mirror's object columns.
         # Masks only prune: every survivor is still re-checked by the
         # scalar pairing call, so over-admission is safe and
         # under-admission impossible by construction.  Mirrors are
@@ -268,31 +266,23 @@ class SeqOperator:
         if (
             isinstance(guard, CompiledGuard)
             and self._pairing is not None
-            and compiled_exec
+            and vector_exec
             and self._use_cuts
-            and (allow_vector or native_state is not None)
         ):
             plan: list = []
             specs: list = []
             for index in range(len(self.args) - 1):
                 stream = engine.streams.get(self.args[index].stream.lower())
                 schema = getattr(stream, "schema", None)
-                stage = None
+                mask_fn = None
                 if schema is not None:
-                    stage = guard.vector_pairing(
+                    mask_fn = guard.vector_pairing(
                         self.args[index].alias,
                         schema,
                         [arg.alias for arg in self.args[index + 1:]],
-                        native_state=native_state,
-                        allow_vector=allow_vector,
                     )
-                if stage is None:
-                    plan.append(None)
-                    specs.append(None)
-                else:
-                    mask_fn, packed_slots = stage
-                    plan.append(mask_fn)
-                    specs.append((schema, packed_slots or None))
+                plan.append(mask_fn)
+                specs.append(None if mask_fn is None else schema)
             if any(entry is not None for entry in plan):
                 self._pairing_plan = plan
                 self._mirror_specs = specs
@@ -315,10 +305,7 @@ class SeqOperator:
                     # materializing them; survivors are re-checked by the
                     # scalar admission call in the dispatch closure.
                     hook = self.guard.vector_admission(
-                        self.args[positions[0]].alias,
-                        stream.schema,
-                        native_state=native_state,
-                        allow_vector=allow_vector,
+                        self.args[positions[0]].alias, stream.schema
                     )
                     if hook is not None:
                         callback.vector_admission = hook

@@ -40,6 +40,32 @@ from .tuples import Tuple
 from .udf import UdfRegistry
 
 
+def tier_report(
+    compile_expressions: bool = True, vectorized_admission: bool = True
+) -> dict[str, Any]:
+    """The predicate-execution tier an engine with these flags runs at.
+
+    The ladder is interpreted → closure → vector.  ``requested`` is the
+    highest tier the flags enable; ``active`` is the tier that runs.
+    Column masks run only above the closure tier, so with
+    ``compile_expressions`` off the engine is the mask-free interpreted
+    reference whatever ``vectorized_admission`` says.  The SEQ pairing
+    masks ride the same flags, so ``pairing`` mirrors admission.
+    """
+    if not compile_expressions:
+        active = "interpreted"
+    elif vectorized_admission:
+        active = "vector"
+    else:
+        active = "closure"
+    requested = "vector" if vectorized_admission else active
+    return {
+        "requested": requested,
+        "active": active,
+        "pairing": {"requested": requested, "active": active},
+    }
+
+
 class Collector:
     """A list-backed sink: subscribe it to any stream to capture output."""
 
@@ -171,17 +197,9 @@ class Engine:
     differential reference.  Row-at-a-time pushes are unaffected either
     way, and both paths emit byte-identical outputs.
 
-    ``native_admission`` (default off — it invokes the platform C
-    compiler at query registration) adds the top tier of the same mask
-    discipline: admission predicates are lowered from the expression IR
-    to C kernels (:mod:`repro.dsms.native_codegen`), compiled into a
-    content-hash-cached shared object, and evaluated over raw column
-    buffers.  Predicates the native tier cannot lower — or every
-    predicate, on a host with no C compiler — fall back to the
-    vectorized masks, then to the closure path; outputs are
-    byte-identical on every tier (native masks may over-admit, never
-    under-admit, and survivors are re-checked downstream).  See
-    :meth:`execution_tier` for which tier is actually active.
+    Column masks run only above the closure tier: with
+    ``compile_expressions`` off, ``vectorized_admission`` has no effect.
+    See :meth:`execution_tier` for which tier is actually active.
     """
 
     def __init__(
@@ -189,7 +207,6 @@ class Engine:
         compile_expressions: bool = True,
         indexed_state: bool = True,
         vectorized_admission: bool = True,
-        native_admission: bool = False,
     ) -> None:
         self.clock = VirtualClock()
         self.streams = StreamRegistry()
@@ -201,16 +218,6 @@ class Engine:
         self.compile_expressions = compile_expressions
         self.indexed_state = indexed_state
         self.vectorized_admission = vectorized_admission
-        self.native_admission = native_admission
-        # Per-engine native-tier state: kernel cache handles + counters.
-        # Created eagerly (it is cheap — no compiler runs until a query
-        # registers a lowerable predicate) so hook builders can count
-        # fallbacks even when every predicate stays on a lower tier.
-        self.native_state = None
-        if native_admission:
-            from .native import NativeState
-
-            self.native_state = NativeState()
         self._query_counter = 0
         # Slot consumed by the next _Sink the compiler builds: the
         # multi-query registry parks a fan-out collector here so a
@@ -250,45 +257,9 @@ class Engine:
     def execution_tier(self) -> dict[str, Any]:
         """Which predicate-execution tier is requested vs actually active.
 
-        ``requested`` reflects the constructor flags (highest enabled
-        tier); ``active`` degrades along the native→vector→closure→
-        interpreted fallback chain when the native tier is requested but
-        no C compiler is available on this host.  When the native tier
-        is on, ``native`` carries its counter snapshot (kernels built,
-        cache hits, per-predicate and per-batch fallbacks) and
-        ``compiler``/``cache_dir`` say where code comes from and goes.
+        See :func:`tier_report` for the ladder and the keys.
         """
-        if self.native_admission:
-            requested = "native"
-        elif self.vectorized_admission:
-            requested = "vector"
-        elif self.compile_expressions:
-            requested = "closure"
-        else:
-            requested = "interpreted"
-        active = requested
-        info: dict[str, Any] = {"requested": requested}
-        if self.native_admission:
-            from .native import find_compiler
-
-            compiler = find_compiler()
-            if compiler is None:
-                if self.vectorized_admission:
-                    active = "vector"
-                elif self.compile_expressions:
-                    active = "closure"
-                else:
-                    active = "interpreted"
-            info["compiler"] = compiler
-        if self.native_state is not None:
-            info["cache_dir"] = str(self.native_state.cache_dir)
-            info["native"] = self.native_state.stats()
-        info["active"] = active
-        # The pairing hot path rides the same flags and degrades the same
-        # way (its masks chain native -> vector and always fall back to
-        # the scalar pairing re-check), so its ladder mirrors admission's.
-        info["pairing"] = {"requested": requested, "active": active}
-        return info
+        return tier_report(self.compile_expressions, self.vectorized_admission)
 
     # -- catalog --------------------------------------------------------
 
@@ -400,7 +371,7 @@ class Engine:
         return stream.push_columns(
             batch,
             self.clock.advance_if_due,
-            self.vectorized_admission or self.native_admission,
+            self.vectorized_admission,
         )
 
     def run_trace(

@@ -51,14 +51,12 @@ class MultiQueryEngine:
         compile_expressions: bool = True,
         indexed_state: bool = True,
         vectorized_admission: bool = True,
-        native_admission: bool = False,
     ) -> None:
         self.shared_execution = shared_execution
         self._flags = {
             "compile_expressions": compile_expressions,
             "indexed_state": indexed_state,
             "vectorized_admission": vectorized_admission,
-            "native_admission": native_admission,
         }
         #: The catalog engine.  Shared mode also executes here; naive mode
         #: uses it only for validation and as the DDL template.

@@ -99,7 +99,7 @@ from collections.abc import Mapping as _MappingABC
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .columns import ColumnBatch
-from .engine import Collector, Engine, QueryHandle
+from .engine import Collector, Engine, QueryHandle, tier_report
 from .errors import EslSemanticError, TransportError
 from .merge import RunCollector, StampedRow, StampedSink, merge_runs
 from .schema import Schema
@@ -151,7 +151,7 @@ class ShardSpec:
 
     __slots__ = (
         "ops", "sinks", "compile_expressions", "indexed_state",
-        "vectorized_admission", "native_admission", "stream_table",
+        "vectorized_admission", "stream_table",
     )
 
     def __init__(
@@ -162,14 +162,12 @@ class ShardSpec:
         indexed_state: bool = True,
         stream_table: Sequence[tuple[str, Schema]] = (),
         vectorized_admission: bool = True,
-        native_admission: bool = False,
     ) -> None:
         self.ops = list(ops)
         self.sinks = list(sinks)
         self.compile_expressions = compile_expressions
         self.indexed_state = indexed_state
         self.vectorized_admission = vectorized_admission
-        self.native_admission = native_admission
         self.stream_table = tuple(stream_table)
 
 
@@ -189,7 +187,6 @@ class _ShardRuntime:
             compile_expressions=spec.compile_expressions,
             indexed_state=spec.indexed_state,
             vectorized_admission=spec.vectorized_admission,
-            native_admission=getattr(spec, "native_admission", False),
         )
         self.handles: dict[str, QueryHandle] = {}
         for op in spec.ops:
@@ -252,7 +249,7 @@ class _ShardRuntime:
         strm.push_columns(
             batch,
             self._advance_if_due,
-            self.engine.vectorized_admission or self.engine.native_admission,
+            self.engine.vectorized_admission,
             on_row=lambda index: drain(gs[index]),
         )
 
@@ -1247,11 +1244,6 @@ class ShardedEngine:
             batches handed over via :meth:`push_columns` evaluate
             admission masks over whole columns and materialize survivors
             only (see :class:`~repro.dsms.engine.Engine`).
-        native_admission: forwarded to every inner Engine — admission
-            predicates additionally compile to native C kernels where
-            the platform has a C compiler, falling back to the
-            vectorized/closure tiers otherwise (see
-            :class:`~repro.dsms.engine.Engine`).
         batch_size: records buffered per shard before a parallel hand-off
             (the adaptive controller's starting point under ``parallel``).
         codec: pipe-transport payload encoding, ``'framed'`` (columnar
@@ -1296,7 +1288,6 @@ class ShardedEngine:
         compile_expressions: bool = True,
         indexed_state: bool = True,
         vectorized_admission: bool = True,
-        native_admission: bool = False,
         batch_size: int = 2048,
         codec: str = "framed",
         start_method: str | None = None,
@@ -1361,7 +1352,6 @@ class ShardedEngine:
         self.compile_expressions = compile_expressions
         self.indexed_state = indexed_state
         self.vectorized_admission = vectorized_admission
-        self.native_admission = native_admission
         self.shard_by = {
             name.lower(): field.lower() for name, field in (shard_by or {}).items()
         }
@@ -1646,7 +1636,7 @@ class ShardedEngine:
         )
         spec = ShardSpec(
             self._ops, sinks, self.compile_expressions, self.indexed_state,
-            stream_table, self.vectorized_admission, self.native_admission,
+            stream_table, self.vectorized_admission,
         )
         if self.executor_kind == "serial":
             self._executor = _SerialExecutor(spec, self.n_shards)
@@ -1932,41 +1922,13 @@ class ShardedEngine:
         }
 
     def execution_tier(self) -> dict[str, Any]:
-        """The admission execution tier the inner engines run at.
+        """The execution tier the inner engines run at.
 
-        Computed from the configured flags and compiler availability on
-        this host — the same degradation ladder as
-        :meth:`~repro.dsms.engine.Engine.execution_tier` (native →
-        vector → closure → interpreted).  Per-shard native counters live
-        inside the worker processes and are not aggregated here.
+        The same report as :meth:`~repro.dsms.engine.Engine.execution_tier`,
+        computed by :func:`~repro.dsms.engine.tier_report` from the flags
+        every shard's engine is built with.
         """
-        if self.native_admission:
-            requested = "native"
-        elif self.vectorized_admission:
-            requested = "vector"
-        elif self.compile_expressions:
-            requested = "closure"
-        else:
-            requested = "interpreted"
-        active = requested
-        info: dict[str, Any] = {"requested": requested}
-        if self.native_admission:
-            from .native import find_compiler
-
-            compiler = find_compiler()
-            if compiler is None:
-                if self.vectorized_admission:
-                    active = "vector"
-                elif self.compile_expressions:
-                    active = "closure"
-                else:
-                    active = "interpreted"
-            info["compiler"] = compiler
-        info["active"] = active
-        # Pairing masks ride the same flags inside each shard's engine and
-        # share admission's degradation ladder.
-        info["pairing"] = {"requested": requested, "active": active}
-        return info
+        return tier_report(self.compile_expressions, self.vectorized_admission)
 
     def alive_workers(self) -> int:
         """Worker processes still running (always 0 for the serial

@@ -207,6 +207,124 @@ class TestFilterDifferential:
 
         run_differential(setup, self._batches(self._readings(n=200)))
 
+    def _edge_case(self, case):
+        """``(setup, batches, expected first-column values per query)``
+        for one of the predicate shapes :meth:`test_predicate_edge_cases`
+        covers."""
+        if case == "like-between-in":
+            rows = [
+                {"tid": f"20.{i}.{('ca', 'fb', 'ガ')[i % 3]}",
+                 "w": None if i % 11 == 0 else (i % 10) / 10.0,
+                 "k": i % 7}
+                for i in range(400)
+            ]
+            queries = {"readings": (
+                "tid str, w float, k int",
+                "SELECT tid FROM readings AS R WHERE tid LIKE '20.%.ca' "
+                "AND R.w BETWEEN 0.2 AND 0.8 AND R.k IN (1, 2, 5, NULL)",
+                lambda r: r["tid"].endswith(".ca") and r["w"] is not None
+                and 0.2 <= r["w"] <= 0.8 and r["k"] in (1, 2, 5),
+            )}
+            streams = {"readings": rows}
+        elif case == "huge-ints":
+            # Out-of-int64 ints compared against a float literal.
+            huge = 1 << 61
+            rows = [{"x": x, "p": 0.0} for x in
+                    (huge, -huge, 3, 200, None, huge + 1, 7, 101, 1 << 70)]
+            queries = {"readings": (
+                "x int, p float",
+                "SELECT x FROM readings AS R WHERE R.x > 100.5",
+                lambda r: r["x"] is not None and r["x"] > 100.5,
+            )}
+            streams = {"readings": rows}
+        elif case == "nulls-modulo-neq":
+            rows = [
+                {"tag_id": None if i % 17 == 0 else i,
+                 "pressure": None if i % 13 == 0 else (i * 37 % 100) / 100,
+                 "loc": ("dock", "yard", "belt", None)[i % 4]}
+                for i in range(600)
+            ]
+            queries = {"readings": (
+                self.SCHEMA,
+                "SELECT tag_id FROM readings AS R WHERE R.pressure < 0.4 "
+                "AND R.loc = 'dock' AND R.tag_id % 3 <> 1",
+                lambda r: r["pressure"] is not None and r["pressure"] < 0.4
+                and r["loc"] == "dock" and r["tag_id"] is not None
+                and r["tag_id"] % 3 != 1,
+            )}
+            streams = {"readings": rows}
+        else:  # "udf-beside-masked-stream"
+            # Only the UDF predicate loses its mask; a plain predicate on
+            # another stream of the same engine keeps its own.
+            rows = [
+                {"tag_id": i,
+                 "pressure": None if i % 13 == 0 else (i * 37 % 100) / 100,
+                 "loc": "dock"}
+                for i in range(300)
+            ]
+            queries = {
+                "readings": (
+                    self.SCHEMA,
+                    "SELECT tag_id FROM readings AS R "
+                    "WHERE halve(R.pressure) < 0.2",
+                    lambda r: r["pressure"] is not None
+                    and r["pressure"] / 2.0 < 0.2,
+                ),
+                "readings2": (
+                    self.SCHEMA,
+                    "SELECT tag_id FROM readings2 AS R WHERE R.pressure < 0.4",
+                    lambda r: r["pressure"] is not None and r["pressure"] < 0.4,
+                ),
+            }
+            # readings2 replays the rows after readings (one engine clock).
+            streams = {"readings": rows, "readings2": rows}
+
+        def setup(engine):
+            engine.register_udf("halve", lambda v: v / 2.0)
+            handles = []
+            for name, (ddl, text, _keep) in queries.items():
+                engine.create_stream(name, ddl)
+                handles.append(engine.query(text))
+            if engine.vectorized_admission:
+                for name, (_ddl, text, _keep) in queries.items():
+                    hooked = [
+                        getattr(callback, "vector_admission", None)
+                        for callback in engine.streams.get(name)._fanout
+                    ]
+                    assert all(hooked) is ("halve" not in text)
+            return handles
+
+        batches = []
+        start = 0.0
+        for name, stream_rows in streams.items():
+            records = spaced(stream_rows, start=start)
+            batches += [
+                (name, records[index:index + 100])
+                for index in range(0, len(records), 100)
+            ]
+            start += len(records)
+        # Each query selects its stream's first field.
+        expected = [
+            [next(iter(row.values())) for row in streams[name] if keep(row)]
+            for name, (_ddl, _text, keep) in queries.items()
+        ]
+        return setup, batches, expected
+
+    @pytest.mark.parametrize(
+        "case",
+        ["like-between-in", "huge-ints", "nulls-modulo-neq",
+         "udf-beside-masked-stream"],
+    )
+    def test_predicate_edge_cases(self, case):
+        """LIKE/BETWEEN/IN masks, out-of-int64 ints, NULL-heavy modulo
+        and <>, and a UDF predicate that falls back alone: every mode
+        matches and returns exactly the rows the predicate keeps."""
+        setup, batches, expected = self._edge_case(case)
+        outputs = run_differential(setup, batches)
+        assert [
+            [values[0] for values, _ts, _stream in out] for out in outputs
+        ] == expected
+
     def test_hook_attachment(self):
         """The filter subscription carries the vector hook exactly when
         the engine opts in and the predicate vector-compiles."""
